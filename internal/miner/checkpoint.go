@@ -8,15 +8,18 @@ import (
 
 // FeedCheckpointVersion is the serialization version of the feed's WAL
 // snapshot sidecar. Restore rejects versions it does not understand and the
-// mutation bus falls back to a full rebuild scan.
-const FeedCheckpointVersion = 1
+// mutation bus falls back to a full rebuild scan. Version 2 escapes the
+// items inside itemset keys; version 1 keys joined raw items with ',', so an
+// item containing ',' read back as several.
+const FeedCheckpointVersion = 2
 
 // feedState is the serializable state of a Feed: the incremental miner's
 // counters, whether still buffering the warm-up batch or already frozen.
 type feedState struct {
 	NumTx int `json:"numTx"`
 
-	Frozen     bool           `json:"frozen,omitempty"`
+	Frozen bool `json:"frozen,omitempty"`
+	// Counts is keyed by itemset: escaped items joined by ','.
 	Counts     map[string]int `json:"counts,omitempty"`
 	Vocabulary []string       `json:"vocabulary,omitempty"`
 	WarmupTx   [][]string     `json:"warmupTx,omitempty"`

@@ -40,15 +40,19 @@ func DefaultClusterConfig(k int) ClusterConfig {
 // It returns the clusters sorted by descending size. When there are fewer
 // records than K, each record forms its own cluster.
 func KMedoids(records []*storage.QueryRecord, cfg ClusterConfig) []Cluster {
-	n := len(records)
-	if n == 0 || cfg.K <= 0 {
+	if len(records) == 0 || cfg.K <= 0 {
 		return nil
 	}
+	return kMedoids(records, PairwiseMatrix(cfg.Measure, records), cfg)
+}
+
+// kMedoids is KMedoids over a precomputed similarity matrix.
+func kMedoids(records []*storage.QueryRecord, sim [][]float64, cfg ClusterConfig) []Cluster {
+	n := len(records)
 	k := cfg.K
 	if k > n {
 		k = n
 	}
-	sim := PairwiseMatrix(cfg.Measure, records)
 
 	// Deterministic initialisation: spread medoids with a greedy max-min
 	// distance sweep seeded by cfg.Seed.

@@ -7,6 +7,7 @@
 package miner
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/storage"
@@ -49,21 +50,8 @@ func (m Measure) String() string {
 // Similarity computes the chosen measure between two stored queries. All
 // measures return values in [0, 1], 1 meaning identical.
 func Similarity(m Measure, a, b *storage.QueryRecord) float64 {
-	switch m {
-	case MeasureText:
-		return trigramSimilarity(strings.ToLower(a.Canonical), strings.ToLower(b.Canonical))
-	case MeasureFeatures:
-		return jaccardStrings(a.Features, b.Features)
-	case MeasureTemplate:
-		if a.Fingerprint == b.Fingerprint {
-			return 1
-		}
-		return trigramSimilarity(strings.ToLower(a.Template), strings.ToLower(b.Template))
-	case MeasureOutput:
-		return outputSimilarity(a.Sample, b.Sample)
-	default:
-		return 0
-	}
+	p := prepare(m, []*storage.QueryRecord{a, b})
+	return m.cell(&p[0], &p[1])
 }
 
 // CompositeWeights holds the weights of a weighted combination of measures,
@@ -95,87 +83,137 @@ func CompositeSimilarity(w CompositeWeights, a, b *storage.QueryRecord) float64 
 	return sum / total
 }
 
-// jaccardStrings is Jaccard similarity of two string sets.
-func jaccardStrings(a, b []string) float64 {
+// profile is one record prepared for a measure's cell kernel.
+type profile struct {
+	// set holds the record's codes (feature, trigram or output-row IDs),
+	// sorted and distinct; multi holds them sorted with repeats kept.
+	set, multi  []uint32
+	fingerprint uint64 // MeasureTemplate only
+	noSample    bool   // MeasureOutput only: the record has no sample
+}
+
+// prepare builds every record's profile for m once, so that filling a
+// matrix cell allocates nothing. Features and output rows are interned to
+// IDs shared by all the records; text and templates are lower-cased and cut
+// into trigram codes.
+func prepare(m Measure, records []*storage.QueryRecord) []profile {
+	out := make([]profile, len(records))
+	var ids map[string]uint32
+	intern := func(codes []uint32, item string) []uint32 {
+		id, ok := ids[item]
+		if !ok {
+			if ids == nil {
+				ids = make(map[string]uint32)
+			}
+			id = uint32(len(ids))
+			ids[item] = id
+		}
+		return append(codes, id)
+	}
+	var codes []uint32
+	for i, r := range records {
+		codes = codes[:0]
+		switch m {
+		case MeasureText:
+			codes = appendTrigrams(codes, strings.ToLower(r.Canonical))
+		case MeasureFeatures:
+			for _, f := range r.Features {
+				codes = intern(codes, f)
+			}
+		case MeasureTemplate:
+			out[i].fingerprint = r.Fingerprint
+			codes = appendTrigrams(codes, strings.ToLower(r.Template))
+		case MeasureOutput:
+			if r.Sample == nil {
+				out[i].noSample = true
+				continue
+			}
+			for _, row := range r.Sample.Rows {
+				codes = intern(codes, strings.Join(row, "\x1f"))
+			}
+		}
+		multi := slices.Clone(codes)
+		slices.Sort(multi)
+		set := multi
+		for j := 1; j < len(multi); j++ {
+			if multi[j] == multi[j-1] {
+				set = slices.Compact(slices.Clone(multi))
+				break
+			}
+		}
+		if m == MeasureText || m == MeasureTemplate {
+			multi = set // trigrams form a set; features and rows may repeat
+		}
+		out[i].set, out[i].multi = set, multi
+	}
+	return out
+}
+
+// cell is m's similarity of two prepared records.
+func (m Measure) cell(a, b *profile) float64 {
+	switch m {
+	case MeasureText, MeasureFeatures:
+	case MeasureTemplate:
+		// "Parse tree similarity after removing the constants": identical
+		// templates score 1, others by trigram overlap.
+		if a.fingerprint == b.fingerprint {
+			return 1
+		}
+	case MeasureOutput:
+		// Queries without samples have zero output similarity to anything.
+		if a.noSample || b.noSample {
+			return 0
+		}
+	default:
+		return 0
+	}
+	return jaccard(a.set, b.multi)
+}
+
+// jaccard is the Jaccard similarity every measure shares, by a sorted merge:
+// inter counts the members of multiset b found in set a, repeats included,
+// and the union is |a| + |b| - inter. Two empty inputs are identical; one
+// empty input shares nothing.
+func jaccard(a, b []uint32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	set := make(map[string]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
-	inter := 0
-	union := len(set)
+	inter, i := 0, 0
 	for _, y := range b {
-		if set[y] {
-			inter++
-		} else {
-			union++
+		for i < len(a) && a[i] < y {
+			i++
 		}
-	}
-	return float64(inter) / float64(union)
-}
-
-// trigramSimilarity is Jaccard similarity over character trigrams, a cheap
-// and robust string similarity for SQL text.
-func trigramSimilarity(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	ta := trigrams(a)
-	tb := trigrams(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ta {
-		if tb[g] {
+		if i < len(a) && a[i] == y {
 			inter++
 		}
 	}
-	union := len(ta) + len(tb) - inter
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-func trigrams(s string) map[string]bool {
+// appendTrigrams appends the codes of the character trigrams of s with its
+// whitespace collapsed, a cheap and robust string similarity basis for SQL
+// text; a string shorter than three bytes is its own trigram. A code packs
+// the bytes below their count, so two codes are equal exactly when their
+// trigrams are.
+func appendTrigrams(codes []uint32, s string) []uint32 {
 	s = strings.Join(strings.Fields(s), " ")
-	out := make(map[string]bool)
 	if len(s) < 3 {
 		if s != "" {
-			out[s] = true
+			c := uint32(len(s)) << 24
+			for i := 0; i < len(s); i++ {
+				c |= uint32(s[i]) << (8 * (len(s) - 1 - i))
+			}
+			codes = append(codes, c)
 		}
-		return out
+		return codes
 	}
 	for i := 0; i+3 <= len(s); i++ {
-		out[s[i:i+3]] = true
+		codes = append(codes, 3<<24|uint32(s[i])<<16|uint32(s[i+1])<<8|uint32(s[i+2]))
 	}
-	return out
-}
-
-// outputSimilarity compares two output samples as sets of stringified rows.
-// Queries without samples have zero output similarity to anything.
-func outputSimilarity(a, b *storage.OutputSample) float64 {
-	if a == nil || b == nil {
-		return 0
-	}
-	if len(a.Rows) == 0 && len(b.Rows) == 0 {
-		return 1
-	}
-	rowsA := make([]string, len(a.Rows))
-	for i, r := range a.Rows {
-		rowsA[i] = strings.Join(r, "\x1f")
-	}
-	rowsB := make([]string, len(b.Rows))
-	for i, r := range b.Rows {
-		rowsB[i] = strings.Join(r, "\x1f")
-	}
-	return jaccardStrings(rowsA, rowsB)
+	return codes
 }
 
 // PairwiseMatrix computes the full symmetric similarity matrix for the given
@@ -183,14 +221,16 @@ func outputSimilarity(a, b *storage.OutputSample) float64 {
 // the E7 similarity-measure ablation.
 func PairwiseMatrix(m Measure, records []*storage.QueryRecord) [][]float64 {
 	n := len(records)
+	p := prepare(m, records)
+	cells := make([]float64, n*n)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = make([]float64, n)
+		out[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		out[i][i] = 1
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			s := Similarity(m, records[i], records[j])
+			s := m.cell(&p[i], &p[j])
 			out[i][j] = s
 			out[j][i] = s
 		}

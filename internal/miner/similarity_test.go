@@ -143,13 +143,17 @@ func TestMeasureString(t *testing.T) {
 }
 
 func TestTrigramSimilarityEdgeCases(t *testing.T) {
-	if s := trigramSimilarity("", ""); s != 1 {
+	text := func(s string) *storage.QueryRecord { return &storage.QueryRecord{Canonical: s} }
+	if s := Similarity(MeasureText, text(""), text("")); s != 1 {
 		t.Errorf("empty strings = %v, want 1", s)
 	}
-	if s := trigramSimilarity("ab", "ab"); s != 1 {
+	if s := Similarity(MeasureText, text("ab"), text("AB")); s != 1 {
 		t.Errorf("short equal strings = %v, want 1", s)
 	}
-	if s := trigramSimilarity("abc", ""); s != 0 {
+	if s := Similarity(MeasureText, text("abc"), text(" ")); s != 0 {
 		t.Errorf("one empty = %v, want 0", s)
+	}
+	if s := Similarity(MeasureText, text("ab"), text("abc")); s != 0 {
+		t.Errorf("short string vs its trigram = %v, want 0", s)
 	}
 }

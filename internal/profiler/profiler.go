@@ -168,6 +168,17 @@ func (p *Profiler) countParseError(captured bool) {
 // would only re-fail the same parse).
 func (p *Profiler) rawRecord(sub Submission, parseErr error) (*storage.QueryRecord, *Outcome) {
 	rec := storage.NewRawRecord(sub.SQL, parseErr)
+	p.stamp(rec, sub)
+	rec.Stats = storage.RuntimeStats{
+		SchemaVersion: p.eng.Catalog().Version(),
+		ExecutedAt:    rec.IssuedAt,
+		Error:         rec.InvalidReason,
+	}
+	return rec, &Outcome{ExecError: parseErr}
+}
+
+// stamp records who submitted rec and when.
+func (p *Profiler) stamp(rec *storage.QueryRecord, sub Submission) {
 	rec.User = sub.User
 	rec.Group = sub.Group
 	rec.Visibility = sub.Visibility
@@ -176,12 +187,6 @@ func (p *Profiler) rawRecord(sub Submission, parseErr error) (*storage.QueryReco
 	} else {
 		rec.IssuedAt = p.clock()
 	}
-	rec.Stats = storage.RuntimeStats{
-		SchemaVersion: p.eng.Catalog().Version(),
-		ExecutedAt:    rec.IssuedAt,
-		Error:         rec.InvalidReason,
-	}
-	return rec, &Outcome{ExecError: parseErr}
 }
 
 // SetClock overrides the profiler's time source.
@@ -199,7 +204,7 @@ func (p *Profiler) Store() *storage.Store { return p.store }
 // the Outcome; execution errors are always logged with the error recorded
 // and returned in the Outcome.
 func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
-	rec, err := storage.NewRecordFromSQL(sub.SQL)
+	rec, stmt, err := storage.ParseRecord(sub.SQL)
 	if err != nil {
 		if p.cfg.CaptureParseErrors {
 			p.countParseError(true)
@@ -210,17 +215,18 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 		p.countParseError(false)
 		return nil, fmt.Errorf("profiler: %w", err)
 	}
-	rec.User = sub.User
-	rec.Group = sub.Group
-	rec.Visibility = sub.Visibility
-	if !sub.IssuedAt.IsZero() {
-		rec.IssuedAt = sub.IssuedAt
-	} else {
-		rec.IssuedAt = p.clock()
-	}
+	p.stamp(rec, sub)
 
-	res, execErr := p.eng.Execute(sub.SQL)
+	out := p.execute(stmt, rec)
+	out.QueryID = p.store.Put(rec)
+	return out, nil
+}
 
+// execute runs the parsed statement on the engine and records its runtime
+// statistics and output sample in rec.
+func (p *Profiler) execute(stmt sql.Statement, rec *storage.QueryRecord) *Outcome {
+	suggest := p.shouldSuggestAnnotation(stmt, rec)
+	res, execErr := p.eng.ExecuteStmt(stmt)
 	stats := storage.RuntimeStats{
 		SchemaVersion: p.eng.Catalog().Version(),
 		ExecutedAt:    rec.IssuedAt,
@@ -234,15 +240,7 @@ func (p *Profiler) Submit(sub Submission) (*Outcome, error) {
 		rec.Sample = p.sampleOutput(res)
 	}
 	rec.Stats = stats
-
-	id := p.store.Put(rec)
-	out := &Outcome{
-		Result:            res,
-		QueryID:           id,
-		SuggestAnnotation: p.shouldSuggestAnnotation(sub.SQL, rec),
-		ExecError:         execErr,
-	}
-	return out, nil
+	return &Outcome{Result: res, SuggestAnnotation: suggest, ExecError: execErr}
 }
 
 // SubmitBatch executes many submissions and logs every successfully parsed
@@ -258,7 +256,7 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 	recs := make([]*storage.QueryRecord, 0, len(subs))
 	logged := make([]int, 0, len(subs)) // recs[j] belongs to subs[logged[j]]
 	for i, sub := range subs {
-		rec, err := storage.NewRecordFromSQL(sub.SQL)
+		rec, stmt, err := storage.ParseRecord(sub.SQL)
 		if err != nil {
 			if p.cfg.CaptureParseErrors {
 				p.countParseError(true)
@@ -272,33 +270,8 @@ func (p *Profiler) SubmitBatch(subs []Submission) (outs []*Outcome, errs []error
 			}
 			continue
 		}
-		rec.User = sub.User
-		rec.Group = sub.Group
-		rec.Visibility = sub.Visibility
-		if !sub.IssuedAt.IsZero() {
-			rec.IssuedAt = sub.IssuedAt
-		} else {
-			rec.IssuedAt = p.clock()
-		}
-		res, execErr := p.eng.Execute(sub.SQL)
-		stats := storage.RuntimeStats{
-			SchemaVersion: p.eng.Catalog().Version(),
-			ExecutedAt:    rec.IssuedAt,
-		}
-		if execErr != nil {
-			stats.Error = execErr.Error()
-		} else {
-			stats.ExecTime = res.Elapsed
-			stats.ResultRows = res.Cardinality()
-			stats.ResultColumns = len(res.Columns)
-			rec.Sample = p.sampleOutput(res)
-		}
-		rec.Stats = stats
-		outs[i] = &Outcome{
-			Result:            res,
-			SuggestAnnotation: p.shouldSuggestAnnotation(sub.SQL, rec),
-			ExecError:         execErr,
-		}
+		p.stamp(rec, sub)
+		outs[i] = p.execute(stmt, rec)
 		recs = append(recs, rec)
 		logged = append(logged, i)
 	}
@@ -341,15 +314,13 @@ func (p *Profiler) sampleOutput(res *engine.Result) *storage.OutputSample {
 
 // shouldSuggestAnnotation applies §2.1's rule: prompt for documentation when
 // the query is complex (many tables or nesting).
-func (p *Profiler) shouldSuggestAnnotation(text string, rec *storage.QueryRecord) bool {
+func (p *Profiler) shouldSuggestAnnotation(stmt sql.Statement, rec *storage.QueryRecord) bool {
 	if p.cfg.AnnotationPromptTableThreshold > 0 && len(rec.Tables) >= p.cfg.AnnotationPromptTableThreshold {
 		return true
 	}
 	if p.cfg.AnnotationPromptOnNesting {
-		if stmt, err := sql.Parse(text); err == nil {
-			if sel, ok := stmt.(*sql.SelectStmt); ok && len(sql.Subqueries(sel)) > 0 {
-				return true
-			}
+		if sel, ok := stmt.(*sql.SelectStmt); ok && len(sql.Subqueries(sel)) > 0 {
+			return true
 		}
 	}
 	return false

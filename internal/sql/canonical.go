@@ -45,9 +45,13 @@ func TemplateText(text string) string {
 // Fingerprint returns a stable 64-bit hash of the query template. Queries
 // that are structurally identical up to constants share a fingerprint.
 func Fingerprint(text string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(strings.ToUpper(TemplateText(text))))
-	return h.Sum64()
+	return TemplateFingerprint(TemplateText(text))
+}
+
+// TemplateFingerprint is Fingerprint of a query whose template is already
+// known.
+func TemplateFingerprint(template string) uint64 {
+	return CanonicalFingerprint(strings.ToUpper(template))
 }
 
 // ExactFingerprint returns a stable 64-bit hash of the canonical form
@@ -58,8 +62,14 @@ func ExactFingerprint(text string) uint64 {
 	if err != nil {
 		canon = strings.ToUpper(strings.Join(strings.Fields(text), " "))
 	}
+	return CanonicalFingerprint(canon)
+}
+
+// CanonicalFingerprint is ExactFingerprint of a query whose canonical form
+// is already known.
+func CanonicalFingerprint(canonical string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(canon))
+	h.Write([]byte(canonical))
 	return h.Sum64()
 }
 

@@ -18,21 +18,30 @@ const FeatureParseError = "parse_error"
 // user identity and visibility are filled in by the caller (normally the
 // Query Profiler).
 func NewRecordFromSQL(text string) (*QueryRecord, error) {
+	rec, _, err := ParseRecord(text)
+	return rec, err
+}
+
+// ParseRecord is NewRecordFromSQL that also returns the parsed statement, so
+// a caller that goes on to execute the query parses its text only once.
+func ParseRecord(text string) (*QueryRecord, sql.Statement, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
-		return nil, fmt.Errorf("storage: parsing query: %w", err)
+		return nil, nil, fmt.Errorf("storage: parsing query: %w", err)
 	}
+	canonical := stmt.SQL()
+	template := sql.Template(stmt)
 	rec := &QueryRecord{
 		Text:        text,
-		Canonical:   stmt.SQL(),
-		Template:    sql.Template(stmt),
-		Fingerprint: sql.Fingerprint(text),
-		ExactHash:   sql.ExactFingerprint(text),
+		Canonical:   canonical,
+		Template:    template,
+		Fingerprint: sql.TemplateFingerprint(template),
+		ExactHash:   sql.CanonicalFingerprint(canonical),
 		Valid:       true,
 	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return rec, nil
+		return rec, stmt, nil
 	}
 	a := sql.Analyze(sel)
 	rec.Tables = append([]string(nil), a.Tables...)
@@ -48,7 +57,7 @@ func NewRecordFromSQL(text string) (*QueryRecord, error) {
 	rec.Aggregates = append([]string(nil), a.Aggregates...)
 	rec.GroupBy = append([]string(nil), a.GroupByColumns...)
 	rec.Features = a.FeatureSet()
-	return rec, nil
+	return rec, stmt, nil
 }
 
 // NewRawRecord builds a QueryRecord for text that failed to parse: the raw
