@@ -61,8 +61,9 @@ func (c *Client) FetchSnapshot(ctx context.Context) (seq uint64, state []byte, c
 
 // FetchWAL streams records with sequence > after from the primary
 // (GET /v1/replication/wal) to fn, long-polling up to wait when the tail is
-// empty. A compacted cursor surfaces as wal.ErrCompacted. Part of the
-// core.ReplicationSource contract.
+// empty. The payload is only valid for the duration of fn. A compacted
+// cursor surfaces as wal.ErrCompacted. Part of the core.ReplicationSource
+// contract.
 func (c *Client) FetchWAL(ctx context.Context, after uint64, wait time.Duration, fn func(seq uint64, payload []byte) error) (primarySeq uint64, bytes int64, err error) {
 	query := url.Values{}
 	query.Set("after", strconv.FormatUint(after, 10))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -33,12 +32,13 @@ const (
 // implement it in-process.
 type ReplicationSource interface {
 	// FetchSnapshot returns the primary's newest snapshot: the log sequence
-	// it covers, the serialised store state (storage.StoreState JSON) and the
-	// derived-state checkpoints it carries. ok is false when the primary has
+	// it covers, the serialised store state (storage.DecodeState reads it)
+	// and the derived-state checkpoints it carries. ok is false when the primary has
 	// no snapshot yet — the follower then replays the whole log from 0.
 	FetchSnapshot(ctx context.Context) (seq uint64, state []byte, checkpoints []storage.SubscriberCheckpoint, ok bool, err error)
 	// FetchWAL streams every record with sequence > after, in order, to fn,
-	// long-polling up to wait when the tail is empty. It returns the
+	// long-polling up to wait when the tail is empty. The payload is only
+	// valid for the duration of fn. It returns the
 	// primary's current last sequence and the bytes transferred. A cursor
 	// that has been compacted away yields an error matching wal.ErrCompacted;
 	// the follower must re-bootstrap from a newer snapshot.
@@ -162,11 +162,11 @@ func (f *followerState) bootstrap(ctx context.Context, c *CQMS) error {
 		f.snapshotSeq.Store(0)
 		return nil
 	}
-	var st storage.StoreState
-	if err := json.Unmarshal(state, &st); err != nil {
+	st, err := storage.DecodeState(state)
+	if err != nil {
 		return fmt.Errorf("core: decoding bootstrap snapshot: %w", err)
 	}
-	restored, rebuilt := c.store.RestoreStateWithCheckpoints(&st, cps)
+	restored, rebuilt := c.store.RestoreStateWithCheckpoints(st, cps)
 	f.appliedSeq.Store(seq)
 	f.snapshotSeq.Store(seq)
 	f.mu.Lock()

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -104,8 +103,8 @@ func TestReplicationStreamEndpoints(t *testing.T) {
 	if seq != compacted.Seq {
 		t.Fatalf("snapshot seq = %d, want %d", seq, compacted.Seq)
 	}
-	var st storage.StoreState
-	if err := json.Unmarshal(state, &st); err != nil {
+	st, err := storage.DecodeState(state)
+	if err != nil {
 		t.Fatalf("snapshot state does not decode: %v", err)
 	}
 	if len(st.Records) == 0 || len(checkpoints) == 0 {

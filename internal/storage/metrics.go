@@ -34,11 +34,7 @@ type storeMetrics struct {
 
 // allMutationOps lists every op for eager counter registration, so a scrape
 // shows zero-valued families before the first mutation of each kind.
-var allMutationOps = []MutationOp{
-	OpPut, OpAnnotate, OpSetVisibility, OpDelete, OpAssignSession, OpAddEdge,
-	OpMarkInvalid, OpMarkValid, OpMarkStale, OpUpdateStats, OpSetSample,
-	OpSetQuality, OpReplaceText,
-}
+var allMutationOps = opCodes[1:]
 
 // EnableMetrics registers the store's instruments on reg and starts
 // recording. Call it once, before attaching bus subscribers if their callback

@@ -1,15 +1,15 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// MutationOp names a mutating store operation. The op codes are part of the
-// on-disk WAL format: changing an existing code breaks replay of old logs.
+// MutationOp names a mutating store operation. The binary WAL format stores
+// each op as a fixed numeric code (opCodes in codec.go); legacy JSON
+// payloads store these names, so neither may change.
 type MutationOp string
 
 // Mutation operations. Every mutating Store method has a corresponding op so
@@ -55,15 +55,15 @@ type Mutation struct {
 	// prev and next are the record versions before and after the mutation
 	// was applied, stashed by the apply path for event-bus subscribers that
 	// maintain derived state (incremental counters need the old version to
-	// decrement). They are unexported so they stay out of the WAL JSON;
-	// replay re-derives them while re-applying.
+	// decrement). They are not persisted; replay re-derives them while
+	// re-applying.
 	prev *QueryRecord
 	next *QueryRecord
 
 	// walSeq is the WAL sequence the durability slot assigned this mutation
-	// (0 when the store runs without a WAL). Unexported so it stays out of
-	// the WAL JSON; write paths use it to wait for group-commit durability
-	// after releasing the commit lock.
+	// (0 when the store runs without a WAL). It is not persisted; write
+	// paths use it to wait for group-commit durability after releasing the
+	// commit lock.
 	walSeq uint64
 }
 
@@ -84,23 +84,6 @@ func (m *Mutation) Prev() *QueryRecord { return m.prev }
 // and ops that do not touch a record). Populated only on mutations delivered
 // through the event bus; the record is immutable and shared.
 func (m *Mutation) Next() *QueryRecord { return m.next }
-
-// Encode serialises the mutation for the WAL payload.
-func (m *Mutation) Encode() ([]byte, error) {
-	return json.Marshal(m)
-}
-
-// DecodeMutation parses a WAL payload back into a mutation.
-func DecodeMutation(b []byte) (*Mutation, error) {
-	var m Mutation
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("storage: decoding mutation: %w", err)
-	}
-	if m.Op == "" {
-		return nil, fmt.Errorf("storage: decoding mutation: missing op")
-	}
-	return &m, nil
-}
 
 // MutationHook observes mutations, invoked under the store's commit lock so
 // subscribers see mutations in exactly their apply order.

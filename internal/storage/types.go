@@ -195,9 +195,9 @@ type QueryRecord struct {
 
 	// lowerText and lowerCanonical cache strings.ToLower of Text and
 	// Canonical so keyword and substring search do not re-lower every
-	// record's full text on every scan. They are unexported so they stay out
-	// of the WAL/snapshot JSON; the store recomputes them whenever a record
-	// enters it (Put, replay, restore, text replacement).
+	// record's full text on every scan. They are not persisted; the store
+	// recomputes them whenever a record enters it (Put, replay, restore,
+	// text replacement).
 	lowerText      string
 	lowerCanonical string
 }

@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -125,6 +123,10 @@ type Manager struct {
 	// met holds the manager's instruments; nil when cfg.Metrics was nil.
 	// Set once in Open before the mutation hook is installed.
 	met *managerMetrics
+
+	// encBuf is the mutation encode buffer, reused by every append. Only
+	// appendMutation touches it, always under the store's commit lock.
+	encBuf []byte
 }
 
 // Open recovers the store from cfg.Dir (newest snapshot + replay of the log
@@ -160,8 +162,8 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 	if ok {
-		var st storage.StoreState
-		if err := json.Unmarshal(payload, &st); err != nil {
+		st, err := storage.DecodeState(payload)
+		if err != nil {
 			log.Close()
 			return nil, nil, fmt.Errorf("wal: decoding snapshot: %w", err)
 		}
@@ -169,7 +171,7 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 		for _, sc := range sidecars {
 			cps = append(cps, storage.SubscriberCheckpoint{Name: sc.Name, Version: sc.Version, Data: sc.Data})
 		}
-		info.CheckpointRestored, info.CheckpointRebuilt = store.RestoreStateWithCheckpoints(&st, cps)
+		info.CheckpointRestored, info.CheckpointRebuilt = store.RestoreStateWithCheckpoints(st, cps)
 		info.SnapshotSeq = snapSeq
 	}
 	// Compaction deletes segments a snapshot covers, so the surviving log must
@@ -218,20 +220,6 @@ func Open(store *storage.Store, cfg Config) (*Manager, *RecoveryInfo, error) {
 	return m, info, nil
 }
 
-// encodeBuffer is one pooled JSON encode target: the encoder permanently
-// wraps its buffer, so a steady-state append reuses both instead of
-// allocating a fresh marshal result per mutation.
-type encodeBuffer struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encodePool = sync.Pool{New: func() any {
-	b := &encodeBuffer{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
-
 // appendMutation is the bus's WAL-slot callback. It runs under the store's
 // commit lock, which keeps log order identical to apply order. It only
 // sequences the mutation — encode plus a buffer append — and stamps the
@@ -243,17 +231,15 @@ func (m *Manager) appendMutation(mut *storage.Mutation) {
 	if m.met != nil {
 		start = time.Now()
 	}
-	eb := encodePool.Get().(*encodeBuffer)
-	eb.buf.Reset()
-	if err := eb.enc.Encode(mut); err != nil {
-		encodePool.Put(eb)
+	payload, err := storage.AppendMutation(m.encBuf[:0], mut)
+	if err != nil {
 		m.recordErr(fmt.Errorf("wal: encoding %s mutation: %w", mut.Op, err))
 		return
 	}
-	payload := eb.buf.Bytes()
-	payload = payload[:len(payload)-1] // drop Encode's trailing newline
+	// AppendAsync copies the payload into its batch buffer, so the encode
+	// buffer is reused by the next mutation.
+	m.encBuf = payload
 	seq, err := m.log.AppendAsync(payload)
-	encodePool.Put(eb) // AppendAsync copied the payload into its batch buffer
 	if m.met != nil {
 		m.met.append.Observe(time.Since(start))
 	}
@@ -314,10 +300,7 @@ func (m *Manager) snapshotLocked() (string, uint64, error) {
 	start := time.Now()
 	var seq uint64
 	st, cps := m.store.StateWithCheckpoints(func() { seq = m.lastSeq.Load() })
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return "", 0, fmt.Errorf("wal: encoding snapshot: %w", err)
-	}
+	payload := storage.AppendState(nil, st)
 	sidecars := make([]SidecarSection, 0, len(cps))
 	for _, cp := range cps {
 		sidecars = append(sidecars, SidecarSection{Name: cp.Name, Version: cp.Version, Data: cp.Data})

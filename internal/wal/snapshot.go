@@ -113,7 +113,7 @@ func readSnapshot(path string) (uint64, []byte, []SidecarSection, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	seq, payload, _, err := readFrame(r)
+	seq, frame, err := readFrame(r, nil)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: reading snapshot %s: %w", filepath.Base(path), err)
 	}
@@ -123,20 +123,20 @@ func readSnapshot(path string) (uint64, []byte, []SidecarSection, error) {
 	// tear, never the primary state.
 	var sidecars []SidecarSection
 	for {
-		scSeq, scPayload, _, err := readFrame(r)
+		scSeq, scFrame, err := readFrame(r, nil)
 		if err != nil {
 			break
 		}
 		if scSeq != seq {
 			break
 		}
-		sc, err := decodeSidecar(scPayload)
+		sc, err := decodeSidecar(scFrame[headerBytes:])
 		if err != nil {
 			break
 		}
 		sidecars = append(sidecars, sc)
 	}
-	return seq, payload, sidecars, nil
+	return seq, frame[headerBytes:], sidecars, nil
 }
 
 // RemoveSnapshotsBefore deletes snapshots older than seq, returning how many

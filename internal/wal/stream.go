@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // Replication streaming: the primary serves its log tail and newest snapshot
@@ -30,78 +31,143 @@ var errTailFull = errors.New("wal: tail budget exhausted")
 // returns the last sequence written and the number of records. A torn tail
 // in the newest segment ends the read cleanly, like Replay. If the records
 // just past the cursor have been compacted away it returns ErrCompacted.
-// Like Replay, pending appends are drained first and the I/O lock is held
-// for the duration, so keep maxBytes bounded.
+//
+// The frames are the on-disk bytes, CRC-checked as they are copied, and the
+// read enters each segment at the offset-index mark nearest the cursor, so
+// a poll near the tip costs the bytes it serves, not the segment's size.
+// The I/O lock is held only to pick the segment, open it and capture its
+// valid end; the file read and the writes to w run without it, so a slow
+// reader never stalls the group committer.
 func (l *Log) ReadTail(after uint64, maxBytes int64, w io.Writer) (last uint64, records int, err error) {
 	if err := l.waitWritten(); err != nil {
 		return 0, 0, err
 	}
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(segs) > 0 && segs[0].FirstSeq > after+1 {
-		return 0, 0, ErrCompacted
-	}
 	var (
 		sent int64
-		buf  []byte
+		seg  tailSegment
+		ok   bool
 	)
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].FirstSeq-1 <= after {
-			continue // every record here is at or before the cursor
+	for first := true; ; first = false {
+		seg, ok, err = l.openTailSegment(after, seg.first, first)
+		if err != nil || !ok {
+			return last, records, err
 		}
-		isNewest := i == len(segs)-1
-		err := readSegment(filepath.Join(l.dir, seg.Name), func(seq uint64, payload []byte) error {
-			if seq <= after {
-				return nil
-			}
-			buf = appendFrame(buf[:0], seq, payload)
-			if _, err := w.Write(buf); err != nil {
+		err = seg.read(l, after, func(seq uint64, frame []byte) error {
+			if _, err := w.Write(frame); err != nil {
 				return err
 			}
 			last, records = seq, records+1
-			if sent += int64(len(buf)); sent >= maxBytes {
+			if sent += int64(len(frame)); sent >= maxBytes {
 				return errTailFull
 			}
 			return nil
 		})
-		if errors.Is(err, errTailFull) {
+		seg.f.Close()
+		switch {
+		case errors.Is(err, errTailFull):
 			return last, records, nil
-		}
-		if errors.Is(err, errTorn) {
-			if isNewest {
+		case errors.Is(err, errTorn):
+			if seg.newest {
 				return last, records, nil
 			}
-			return last, records, fmt.Errorf("wal: segment %s: %w", seg.Name, err)
-		}
-		if err != nil {
+			return last, records, fmt.Errorf("wal: segment %s: %w", seg.name, err)
+		case err != nil:
 			return last, records, err
+		case seg.newest:
+			return last, records, nil
 		}
 	}
-	return last, records, nil
+}
+
+// tailSegment is one segment opened for a tail read, with its valid end and
+// offset-index marks captured under ioMu.
+type tailSegment struct {
+	f      *os.File
+	name   string
+	first  uint64
+	end    int64
+	marks  []frameMark
+	newest bool
+}
+
+// openTailSegment opens the segment a tail read continues in: on the first
+// step the one holding the first record past the cursor, afterwards the
+// segment following the one first names. ok is false when there is no such
+// segment (compaction removed the segment just read, so the caller returns
+// what it has sent and the next read reports ErrCompacted).
+func (l *Log) openTailSegment(after, prev uint64, first bool) (tailSegment, bool, error) {
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	segs, err := listSegments(l.dir)
+	if err != nil {
+		return tailSegment{}, false, err
+	}
+	var i int
+	if first {
+		if len(segs) > 0 && segs[0].FirstSeq > after+1 {
+			return tailSegment{}, false, ErrCompacted
+		}
+		// The last segment starting at or before after+1.
+		i = sort.Search(len(segs), func(i int) bool { return segs[i].FirstSeq > after+1 }) - 1
+	} else {
+		i = sort.Search(len(segs), func(i int) bool { return segs[i].FirstSeq >= prev })
+		if i == len(segs) || segs[i].FirstSeq != prev {
+			return tailSegment{}, false, nil
+		}
+		i++
+	}
+	if i < 0 || i >= len(segs) {
+		return tailSegment{}, false, nil
+	}
+	info := segs[i]
+	f, err := os.Open(filepath.Join(l.dir, info.Name))
+	if err != nil {
+		return tailSegment{}, false, fmt.Errorf("wal: reading segment: %w", err)
+	}
+	seg := tailSegment{f: f, name: info.Name, first: info.FirstSeq, end: info.Bytes, newest: i == len(segs)-1}
+	if info.FirstSeq == l.segStart {
+		// The active segment: only frames the committer finished writing.
+		seg.end = l.segBytes
+	}
+	if x := l.index[info.FirstSeq]; x != nil {
+		seg.marks = x.marks
+	}
+	return seg, true, nil
+}
+
+// read streams the segment's frames with sequence > after to fn, entering
+// at the index mark nearest the cursor. A sealed segment read for the first
+// time is indexed first (one scan, kept for every later read).
+func (s *tailSegment) read(l *Log, after uint64, fn func(seq uint64, frame []byte) error) error {
+	if s.marks == nil {
+		idx, _, _, err := indexFrames(io.NewSectionReader(s.f, 0, s.end))
+		if err != nil {
+			return err
+		}
+		l.ioMu.Lock()
+		if _, ok := l.index[s.first]; !ok && s.first != l.segStart {
+			l.index[s.first] = idx
+		}
+		l.ioMu.Unlock()
+		s.marks = idx.marks
+	}
+	off := seekMark(s.marks, after)
+	return eachFrame(io.NewSectionReader(s.f, off, s.end-off), after, fn)
 }
 
 // ReadFrames decodes a stream of CRC frames (a ReadTail response body) and
-// hands each record to fn in order. A clean EOF ends the stream; a partial
-// or corrupt frame is an error — over the network there is no torn-tail
-// tolerance, a damaged stream must be refetched.
+// hands each record to fn in order; the payload is only valid for the
+// duration of fn. A clean EOF ends the stream; a partial or corrupt frame is
+// an error — over the network there is no torn-tail tolerance, a damaged
+// stream must be refetched.
 func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
-	br := bufio.NewReaderSize(r, 64<<10)
-	for {
-		seq, payload, _, err := readFrame(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("wal: replication stream: %w", err)
-		}
-		if err := fn(seq, payload); err != nil {
-			return err
-		}
+	err := eachFrame(r, 0, func(seq uint64, frame []byte) error {
+		return fn(seq, frame[headerBytes:])
+	})
+	if errors.Is(err, errTorn) {
+		return fmt.Errorf("wal: replication stream: %w", err)
 	}
+	return err
 }
 
 // DecodeSnapshot parses a streamed snapshot document (the raw bytes of a
@@ -111,14 +177,14 @@ func ReadFrames(r io.Reader, fn func(seq uint64, payload []byte) error) error {
 // that tears mid-body must be retried, not partially applied.
 func DecodeSnapshot(r io.Reader) (seq uint64, payload []byte, sidecars []SidecarSection, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	seq, payload, _, err = readFrame(br)
+	seq, frame, err := readFrame(br, nil)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: replication snapshot: %w", err)
 	}
 	for {
-		scSeq, scPayload, _, err := readFrame(br)
+		scSeq, scFrame, err := readFrame(br, nil)
 		if err == io.EOF {
-			return seq, payload, sidecars, nil
+			return seq, frame[headerBytes:], sidecars, nil
 		}
 		if err != nil {
 			return 0, nil, nil, fmt.Errorf("wal: replication snapshot sidecar: %w", err)
@@ -126,7 +192,7 @@ func DecodeSnapshot(r io.Reader) (seq uint64, payload []byte, sidecars []Sidecar
 		if scSeq != seq {
 			return 0, nil, nil, fmt.Errorf("wal: replication snapshot sidecar: sequence %d != %d", scSeq, seq)
 		}
-		sc, err := decodeSidecar(scPayload)
+		sc, err := decodeSidecar(scFrame[headerBytes:])
 		if err != nil {
 			return 0, nil, nil, err
 		}

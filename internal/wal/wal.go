@@ -14,12 +14,29 @@
 //
 //	uint32 payload length | uint32 CRC32(seq,payload) | uint64 seq | payload
 //
-// (little-endian). On open, a torn tail — a partially written final record
-// left by a crash — is detected by the length/CRC check and truncated, so
-// recovery always resumes from the last fully durable record. Recovery loads
-// the newest valid snapshot and replays only the log records with sequence
-// numbers beyond it; compaction deletes segments and snapshots made obsolete
-// by a newer snapshot.
+// (little-endian). The payload is a mutation (log records) or the store
+// state (snapshots) in the binary record encoding of package storage: a
+// format-version byte (0x01) and varint fields. Payloads written before the
+// binary format are JSON documents starting with '{'; the storage decoders
+// accept both, so old data directories recover unchanged and new records
+// are appended in binary (read-old, write-new).
+//
+// On open, a torn tail — a partially written final record left by a crash —
+// is detected by the length/CRC check and truncated, so recovery always
+// resumes from the last fully durable record. Recovery loads the newest
+// valid snapshot and replays only the log records with sequence numbers
+// beyond it; compaction deletes segments and snapshots made obsolete by a
+// newer snapshot.
+//
+// # Offset index
+//
+// The log keeps a sparse in-memory index per segment: the byte offset of
+// every indexSpacing-th frame. The committer extends the active segment's
+// index as it writes, open builds it for the newest segment, and older
+// segments are indexed on their first tail read. ReadTail (the replication
+// stream) and Replay seek to the mark nearest their cursor, so a read near
+// the tip costs the bytes it returns, not a scan of the segment; ReadTail
+// copies the on-disk frames, CRC-checked, without re-encoding them.
 //
 // # Group commit
 //
@@ -43,6 +60,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,13 +189,19 @@ type Log struct {
 	bgErr         error // first background-flush failure
 	truncated     bool  // a torn tail was cut during open
 
-	// ioMu guards the active segment file.
+	// ioMu guards the active segment file and the segment offset indexes.
 	ioMu        sync.Mutex
 	file        *os.File
 	segStart    uint64 // first sequence of the active segment
 	segBytes    int64
 	syncedBytes int64 // bytes of the active segment covered by an fsync
 	dirty       bool  // writes not yet fsynced
+	// index holds the sparse offset index of every segment read or written
+	// since open, keyed by the segment's first sequence; active is the
+	// active segment's entry, extended by writeBatch. Sealed segments are
+	// indexed on their first tail read.
+	index  map[uint64]*segIndex
+	active *segIndex
 
 	// beforeSync, when set (crash-consistency tests only), runs between the
 	// committer's batch write and its fsync — the window a real crash would
@@ -240,7 +264,7 @@ func OpenLog(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{dir: opts.Dir, opts: opts, met: newLogMetrics(opts.Metrics, opts.Sync)}
+	l := &Log{dir: opts.Dir, opts: opts, met: newLogMetrics(opts.Metrics, opts.Sync), index: make(map[uint64]*segIndex)}
 	l.wake.L = &l.seqMu
 	l.progress.L = &l.seqMu
 	segs, err := listSegments(opts.Dir)
@@ -254,10 +278,11 @@ func OpenLog(opts Options) (*Log, error) {
 	} else {
 		last := segs[len(segs)-1]
 		path := filepath.Join(opts.Dir, last.Name)
-		validBytes, lastSeq, torn, err := scanSegment(path)
+		idx, lastSeq, torn, err := scanSegment(path)
 		if err != nil {
 			return nil, err
 		}
+		validBytes := idx.end
 		if torn {
 			if err := os.Truncate(path, validBytes); err != nil {
 				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", last.Name, err)
@@ -272,6 +297,8 @@ func OpenLog(opts Options) (*Log, error) {
 		l.segStart = last.FirstSeq
 		l.segBytes = validBytes
 		l.syncedBytes = validBytes
+		l.active = idx
+		l.index[last.FirstSeq] = idx
 		if lastSeq > 0 {
 			l.lastSeq = lastSeq
 		} else {
@@ -305,6 +332,8 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	l.segBytes = 0
 	l.syncedBytes = 0
 	l.dirty = false
+	l.active = &segIndex{}
+	l.index[firstSeq] = l.active
 	return nil
 }
 
@@ -538,8 +567,8 @@ func (l *Log) writeBatch(batch []byte, firstSeq uint64) error {
 	return nil
 }
 
-// writeRun writes one contiguous run of frames to the active segment.
-// Callers must hold ioMu.
+// writeRun writes one contiguous run of frames to the active segment and
+// extends the segment's offset index. Callers must hold ioMu.
 func (l *Log) writeRun(run []byte) error {
 	n, err := l.file.Write(run)
 	if err != nil {
@@ -550,6 +579,11 @@ func (l *Log) writeRun(run []byte) error {
 			_ = l.file.Truncate(l.segBytes)
 		}
 		return fmt.Errorf("wal: append: %w", err)
+	}
+	for off := 0; off < len(run); {
+		frameLen := headerBytes + int64(binary.LittleEndian.Uint32(run[off:]))
+		l.active.add(binary.LittleEndian.Uint64(run[off+8:]), l.segBytes+int64(off), frameLen)
+		off += int(frameLen)
 	}
 	l.segBytes += int64(n)
 	l.dirty = true
@@ -724,7 +758,9 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 // tail in the newest segment ends the replay cleanly; corruption anywhere
 // else is an error, as is an error returned by fn. Replay drains pending
 // appends first, then holds the I/O lock, so it observes every acknowledged
-// record and no concurrent write.
+// record and no concurrent write. A segment with an offset index is entered
+// at the index mark nearest the cursor. The payload is only valid for the
+// duration of fn.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	if err := l.waitWritten(); err != nil {
 		return err
@@ -740,11 +776,12 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 			continue // every record here is covered by the snapshot
 		}
 		isNewest := i == len(segs)-1
-		err := readSegment(filepath.Join(l.dir, seg.Name), func(seq uint64, payload []byte) error {
-			if seq <= after {
-				return nil
-			}
-			return fn(seq, payload)
+		var off int64
+		if x := l.index[seg.FirstSeq]; x != nil {
+			off = seekMark(x.marks, after)
+		}
+		err := readSegment(filepath.Join(l.dir, seg.Name), off, after, func(seq uint64, frame []byte) error {
+			return fn(seq, frame[headerBytes:])
 		})
 		if errors.Is(err, errTorn) {
 			if isNewest {
@@ -783,6 +820,15 @@ func (l *Log) RemoveSegmentsCoveredBy(seq uint64) (int, error) {
 		}
 		removed++
 	}
+	// Drop the indexes of removed segments, including any a concurrent tail
+	// read built for a segment this or an earlier compaction removed.
+	if removed < len(segs) {
+		for first := range l.index {
+			if first < segs[removed].FirstSeq {
+				delete(l.index, first)
+			}
+		}
+	}
 	return removed, nil
 }
 
@@ -814,82 +860,164 @@ func encodeFrame(seq uint64, payload []byte) []byte {
 	return appendFrame(make([]byte, 0, headerBytes+len(payload)), seq, payload)
 }
 
-// readFrame reads one record. It returns errTorn for a partial or corrupt
-// record and io.EOF at a clean end of segment.
-func readFrame(r *bufio.Reader) (seq uint64, payload []byte, frameLen int64, err error) {
-	header := make([]byte, headerBytes)
-	if _, err := io.ReadFull(r, header); err != nil {
-		if err == io.EOF {
-			return 0, nil, 0, io.EOF
+// frameChunk is the first read size for a frame whose declared payload is
+// larger; the buffer then grows by doubling as bytes arrive.
+const frameChunk = 64 << 10
+
+// readFrame reads one record into buf (reused when it is large enough) and
+// returns its sequence and the whole frame, header included; the payload is
+// frame[headerBytes:]. It returns errTorn for a partial or corrupt record
+// and io.EOF at a clean end of segment. The buffer grows only as payload
+// bytes actually arrive, so a forged length field costs memory in
+// proportion to the bytes received, never the declared length.
+func readFrame(r *bufio.Reader, buf []byte) (seq uint64, frame []byte, err error) {
+	header, err := r.Peek(headerBytes)
+	if err != nil {
+		if err == io.EOF && len(header) == 0 {
+			return 0, nil, io.EOF
 		}
-		return 0, nil, 0, errTorn // partial header
+		return 0, nil, errTorn // partial header
 	}
 	n := binary.LittleEndian.Uint32(header[0:4])
 	if n > maxPayloadBytes {
-		return 0, nil, 0, errTorn
+		return 0, nil, errTorn
 	}
-	wantCRC := binary.LittleEndian.Uint32(header[4:8])
-	seq = binary.LittleEndian.Uint64(header[8:16])
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, errTorn // partial payload
+	want := headerBytes + int(n)
+	if first := headerBytes + min(int(n), frameChunk); cap(buf) < first {
+		buf = make([]byte, 0, first)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(header[8:16])
-	crc.Write(payload)
-	if crc.Sum32() != wantCRC {
-		return 0, nil, 0, errTorn
+	buf = append(buf[:0], header...)
+	r.Discard(headerBytes)
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(want-len(buf), len(buf)))
+		}
+		k, err := r.Read(buf[len(buf):min(cap(buf), want)])
+		buf = buf[:len(buf)+k]
+		if err != nil && len(buf) < want {
+			return 0, nil, errTorn // partial payload
+		}
 	}
-	return seq, payload, headerBytes + int64(n), nil
+	crc := crc32.Update(crc32.ChecksumIEEE(buf[8:16]), crc32.IEEETable, buf[headerBytes:])
+	if crc != binary.LittleEndian.Uint32(buf[4:8]) {
+		return 0, nil, errTorn
+	}
+	return binary.LittleEndian.Uint64(buf[8:16]), buf, nil
 }
 
-// readSegment streams every valid record of one segment file to fn and
-// returns errTorn if the segment ends in a partial or corrupt record.
-func readSegment(path string, fn func(seq uint64, payload []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: reading segment: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+// frameReaders recycles the buffered readers segment and tail reads use.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// eachFrame calls fn with every frame of r whose sequence is > after, in
+// order. The frame buffer is reused: a frame is only valid for the duration
+// of fn. It returns errTorn if r ends in a partial or corrupt record.
+func eachFrame(r io.Reader, after uint64, fn func(seq uint64, frame []byte) error) error {
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		frameReaders.Put(br)
+	}()
+	var buf []byte
 	for {
-		seq, payload, _, err := readFrame(r)
+		seq, frame, err := readFrame(br, buf)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := fn(seq, payload); err != nil {
+		buf = frame
+		if seq <= after {
+			continue
+		}
+		if err := fn(seq, frame); err != nil {
 			return err
 		}
 	}
 }
 
-// scanSegment walks a segment validating records. It returns the byte offset
-// of the end of the last valid record, the highest valid sequence, and
-// whether the segment ends in a torn record.
-func scanSegment(path string) (validBytes int64, lastSeq uint64, torn bool, err error) {
+// readSegment streams every valid frame of one segment file, from byte
+// offset off on, with sequence > after to fn, and returns errTorn if the
+// segment ends in a partial or corrupt record.
+func readSegment(path string, off int64, after uint64, fn func(seq uint64, frame []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: scanning segment: %w", err)
+		return fmt.Errorf("wal: reading segment: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		seq, _, frameLen, err := readFrame(r)
-		if err == io.EOF {
-			return validBytes, lastSeq, false, nil
-		}
-		if errors.Is(err, errTorn) {
-			return validBytes, lastSeq, true, nil
-		}
-		if err != nil {
-			return validBytes, lastSeq, false, err
-		}
-		validBytes += frameLen
-		lastSeq = seq
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: reading segment: %w", err)
 	}
+	return eachFrame(f, after, fn)
+}
+
+// indexSpacing is the number of frames between two marks of a segment's
+// offset index. A read that starts at a cursor seeks to the mark at or
+// before it and skips at most indexSpacing-1 frames from there.
+const indexSpacing = 64
+
+// frameMark locates one frame inside a segment file.
+type frameMark struct {
+	seq uint64
+	off int64
+}
+
+// segIndex is the sparse offset index of one segment: a mark for every
+// indexSpacing-th frame, starting with the first, and the end of the last
+// indexed frame. The active segment's index is extended under ioMu; readers
+// copy the marks slice header under ioMu and then read it without the
+// lock, since appends never rewrite existing elements.
+type segIndex struct {
+	marks  []frameMark
+	frames int
+	end    int64
+}
+
+func (x *segIndex) add(seq uint64, off, frameLen int64) {
+	if x.frames%indexSpacing == 0 {
+		x.marks = append(x.marks, frameMark{seq: seq, off: off})
+	}
+	x.frames++
+	x.end = off + frameLen
+}
+
+// seekMark returns the offset to start reading at for the first frame with
+// sequence > after: the last mark whose sequence is <= after, or the
+// segment start.
+func seekMark(marks []frameMark, after uint64) int64 {
+	i := sort.Search(len(marks), func(i int) bool { return marks[i].seq > after })
+	if i == 0 {
+		return 0
+	}
+	return marks[i-1].off
+}
+
+// scanSegment walks a segment validating records and indexing them. It
+// returns the index (whose end is the byte offset of the end of the last
+// valid record), the highest valid sequence, and whether the segment ends
+// in a torn record.
+func scanSegment(path string) (idx *segIndex, lastSeq uint64, torn bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("wal: scanning segment: %w", err)
+	}
+	defer f.Close()
+	return indexFrames(f)
+}
+
+// indexFrames builds the offset index of a segment read from its start.
+func indexFrames(r io.Reader) (idx *segIndex, lastSeq uint64, torn bool, err error) {
+	idx = &segIndex{}
+	err = eachFrame(r, 0, func(seq uint64, frame []byte) error {
+		idx.add(seq, idx.end, int64(len(frame)))
+		lastSeq = seq
+		return nil
+	})
+	if errors.Is(err, errTorn) {
+		return idx, lastSeq, true, nil
+	}
+	return idx, lastSeq, false, err
 }
 
 func listSegments(dir string) ([]SegmentInfo, error) {
